@@ -1,26 +1,27 @@
 package mpi
 
 import (
-	"distcoll/internal/core"
+	"fmt"
+
 	"distcoll/internal/health"
 	"distcoll/internal/plancache"
 	"distcoll/internal/sched"
 	"distcoll/internal/tune"
 )
 
-// This file is the Adaptive component (DESIGN.md §8): the glue between the
-// runtime's communicators, the tune decision engine, and the compiled-plan
-// cache. Per collective call, the last-arriving member (the one running
-// the coordinate build function, so exactly once per collective) asks the
-// world's selector for the best {component, tree shape, chunk} at this
-// (topology, message size), then fetches the compiled schedule from the
-// world's plan cache — compiling through tune.CompileFor only on a miss.
+// This file is the decision and plan-cache step of the collective
+// pipeline (DESIGN.md §8). Per collective call, the last-arriving member
+// (the one running the coordinate build function, so exactly once per
+// collective) decides a {component, tree shape, chunk} — through the
+// world's selector for the Adaptive component, as a constant for the
+// fixed ones — then fetches the compiled schedule from the world's plan
+// cache, compiling through tune.CompileFor only on a miss.
 
-// adecision carries the selector's choice out of adaptiveSchedule to the
-// plan builder: the plan_cache trace event is emitted only once the plan
-// id exists (after newPlan), so a later op_end with the same plan id
-// carries the measured cost of exactly this decision — the correlation
-// the online autotuner feeds on.
+// adecision carries the selector's choice out of schedule to the plan
+// builder: the plan_cache trace event is emitted only once the plan id
+// exists (after newPlan), so a later op_end with the same plan id carries
+// the measured cost of exactly this decision — the correlation the online
+// autotuner feeds on.
 type adecision struct {
 	coll  tune.Collective
 	bytes int64
@@ -28,35 +29,56 @@ type adecision struct {
 	hit   bool
 }
 
-// adaptiveSchedule resolves one collective call through the selector and
-// plan cache. bytes is the full message (bcast/reduce/allreduce) or the
-// per-rank block (allgather); align the reduction element size.
-func (c *Comm) adaptiveSchedule(coll tune.Collective, root int, bytes, align int64) (*sched.Schedule, *adecision, error) {
+// schedule decides and compiles (or fetches) the schedule of one
+// collective call. bytes is the full message (bcast/reduce/allreduce) or
+// the per-rank block (the others). Adaptive decides through the selector
+// for the collectives it has tables for and runs the others on knemcoll;
+// a fixed component decides itself, two-phase when the view has a
+// clustered base. The *adecision result is non-nil only when the selector
+// decided.
+func (c *Comm) schedule(d *collDesc, a *collArgs, bytes int64) (*sched.Schedule, *adecision, error) {
 	st := c.state
 	w := st.world
 
 	st.mu.Lock()
 	v := st.viewLocked()
 	topo := st.topoHashLocked()
+	clustered := st.clusteredLocked() != nil
 	st.mu.Unlock()
 
-	dec := w.selector.Select(coll, v, bytes)
+	comp := a.comp
+	if comp == Adaptive && !d.coll.Decidable() {
+		comp = KNEMColl
+	}
+	var dec tune.Decision
+	switch comp {
+	case Adaptive:
+		dec = w.selector.Select(d.coll, v, bytes)
+	case KNEMColl, Tuned, MPICH2:
+		dec = tune.Decision{Component: comp.String(), TwoPhase: clustered}
+	default:
+		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
+	}
+	var align int64
+	if d.reduce {
+		align = a.elemSize()
+	}
 	key := plancache.Key{
 		Topo:    topo,
 		Tenant:  w.tenant,
-		Coll:    string(coll),
-		Root:    root,
+		Coll:    string(d.coll),
+		Root:    a.root,
 		Size:    bytes,
 		Align:   align,
 		Variant: dec.CacheKey(),
 	}
 	s, hit, err := w.plans.Get(key, func() (*sched.Schedule, error) {
-		return tune.CompileFor(coll, dec, v, root, bytes, align)
+		return tune.CompileFor(d.coll, dec, v, a.root, bytes, align)
 	})
-	if err != nil {
-		return nil, nil, err
+	if err != nil || comp != Adaptive {
+		return s, nil, err
 	}
-	return s, &adecision{coll: coll, bytes: bytes, dec: dec, hit: hit}, nil
+	return s, &adecision{coll: d.coll, bytes: bytes, dec: dec, hit: hit}, nil
 }
 
 // topoHashLocked returns the cached fingerprint of the communicator's
@@ -111,8 +133,8 @@ func (st *commState) invalidatePlans() {
 	}
 }
 
-// Free releases the communicator's cached resources: the distance
-// topologies held by the communicator state and every compiled plan in
+// Free releases the communicator's cached resources: the distance matrix
+// and views held by the communicator state and every compiled plan in
 // the world's cache keyed by its topology. Collectives on other
 // communicators with a *different* member placement are unaffected (their
 // plans hash to different topologies). Using the handle after Free simply
@@ -127,8 +149,6 @@ func (c *Comm) Free() {
 	st.clustered = nil
 	st.clusterKnown = false
 	st.topoHashed = false
-	st.trees = make(map[int]*core.Tree)
-	st.ring = nil
 	st.healthSnap = nil
 	st.mu.Unlock()
 }

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"distcoll/internal/baseline"
-	"distcoll/internal/core"
 	"distcoll/internal/distance"
 	"distcoll/internal/fault"
 	"distcoll/internal/integrity"
@@ -134,11 +132,11 @@ func (st *commState) emptyPlan(op string, n int) *collPlan {
 	return &collPlan{s: sched.New(n), op: op, world: st.world, members: len(st.group)}
 }
 
-// newPlan validates the schedule, binds caller buffers, allocates
+// newPlan validates the schedule, binds the members' buffers, allocates
 // auxiliary ones (bounce/temporary segments), and declares every buffer as
 // a KNEM region owned by the member's WORLD rank (fault plans address
 // world ranks).
-func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int, name string) []byte) (*collPlan, error) {
+func (st *commState) newPlan(op string, s *sched.Schedule, args []collArgs) (*collPlan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -153,7 +151,7 @@ func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int,
 		members: len(st.group),
 	}
 	for i, spec := range s.Buffers {
-		if b := caller(spec.Rank, spec.Name); b != nil {
+		if b := args[spec.Rank].buffer(spec.Name, spec.Rank == args[0].root); b != nil {
 			if int64(len(b)) != spec.Bytes {
 				return nil, fmt.Errorf("mpi: rank %d buffer %q is %d bytes, schedule expects %d",
 					spec.Rank, spec.Name, len(b), spec.Bytes)
@@ -171,96 +169,164 @@ func (st *commState) newPlan(op string, s *sched.Schedule, caller func(rank int,
 	return plan, nil
 }
 
-// bcastArgs is each member's contribution to a broadcast. led is the
-// member's progress ledger (nil outside the resilient wrappers): the plan
-// builder wires it into the plan's completion hooks so every landed chunk
-// is recorded for a possible later delta repair.
-type bcastArgs struct {
-	buf  []byte
-	root int
-	comp Component
-	led  *recovery.ChunkLedger
+// collArgs is one member's contribution to a collective call.
+type collArgs struct {
+	send, recv []byte
+	size       int // the buffer length every member must pass identically
+	root       int
+	comp       Component
+	op         ReduceOp // Reduce and Allreduce only
+	// Progress ledgers of the resilient wrappers (nil elsewhere): the seal
+	// hooks wire them into the plan so every verified chunk or segment
+	// is recorded for a possible later delta repair.
+	chunks *recovery.ChunkLedger
+	segs   *recovery.SegLedger
+}
+
+// buffer binds a schedule buffer name to the member's caller buffer: every
+// compiler names the payload "data" (broadcast) or "send", and the result
+// "recv" — or "acc" for reductions, where every rank accumulates but only
+// the root's accumulator is the caller's. Nil leaves the buffer to newPlan.
+func (a *collArgs) buffer(name string, isRoot bool) []byte {
+	switch name {
+	case "data", "send":
+		return a.send
+	case "recv":
+		return a.recv
+	case "acc":
+		if isRoot {
+			return a.recv
+		}
+	}
+	return nil
+}
+
+// elemSize is the reduction element size (1 for byte-wise operators).
+func (a *collArgs) elemSize() int64 { return max(a.op.ElemSize, 1) }
+
+// collDesc describes one public collective to the shared pipeline.
+type collDesc struct {
+	coll   tune.Collective // name, decision and plan-cache key
+	rooted bool            // root must name a member
+	reduce bool            // combines with a ReduceOp: element check, align
+	// check validates the collective's buffer shapes over all members'
+	// arguments (already agreed on root, component, operator and size) and
+	// returns the schedule's byte count: the full message, or the per-rank
+	// block. Nil means the agreed size itself.
+	check func(args []collArgs) (int64, error)
+	// seal attaches end-to-end digests and ledger hooks to a fresh plan;
+	// exact says the schedule copies at true payload offsets, so per-op
+	// ledger marks are meaningful.
+	seal func(c *Comm, plan *collPlan, args []collArgs, exact bool)
+	// verify checks this member's delivered result after execution.
+	verify func(c *Comm, plan *collPlan, a *collArgs) error
+	// repair chooses a recovery schedule from the survivors' ledgers
+	// (resilient collectives only; see delta.go).
+	repair func(c *Comm, args []collArgs, full *sched.Schedule, bytes int64) (*sched.Schedule, string, int)
+}
+
+// agree is the cross-rank argument check run by the last arriver, so every
+// member gets the same verdict. It returns the typed arguments and the
+// schedule's byte count.
+func (d *collDesc) agree(vals []any) ([]collArgs, int64, error) {
+	args := make([]collArgs, len(vals))
+	for i, v := range vals {
+		a, ok := v.(collArgs)
+		if !ok {
+			return nil, 0, fmt.Errorf("mpi: %s coordination corrupted", d.coll)
+		}
+		args[i] = a
+		if a.root != args[0].root || a.comp != args[0].comp || a.op.Name != args[0].op.Name || a.size != args[0].size {
+			return nil, 0, fmt.Errorf("mpi: %s arguments mismatch across ranks", d.coll)
+		}
+	}
+	a := &args[0]
+	if d.rooted && (a.root < 0 || a.root >= len(args)) {
+		return nil, 0, fmt.Errorf("mpi: %s root %d out of range", d.coll, a.root)
+	}
+	if d.reduce && int64(a.size)%a.elemSize() != 0 {
+		return nil, 0, fmt.Errorf("mpi: %s buffer of %d bytes is not a multiple of element size %d",
+			d.coll, a.size, a.elemSize())
+	}
+	if d.check == nil {
+		return args, int64(a.size), nil
+	}
+	bytes, err := d.check(args)
+	return args, bytes, err
+}
+
+// collective is the one pipeline every public collective runs through:
+// coordinate → check → decide → plan cache → newPlan → execute → verify →
+// vote. The last arriver checks, decides and binds exactly once; every
+// member then executes its share of the shared plan.
+func (c *Comm) collective(d *collDesc, a collArgs) error {
+	_, result, err := c.coordinate(a, func(vals []any) (any, error) {
+		args, bytes, err := d.agree(vals)
+		if err != nil {
+			return nil, err
+		}
+		if bytes == 0 {
+			return c.state.emptyPlan(string(d.coll), len(args)), nil
+		}
+		s, ad, err := c.schedule(d, &args[0], bytes)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := c.state.newPlan(string(d.coll), s, args)
+		if err != nil {
+			return nil, err
+		}
+		plan.notePlanCache(ad)
+		if d.seal != nil {
+			d.seal(c, plan, args, args[0].comp == KNEMColl)
+		}
+		return plan, nil
+	})
+	if err != nil {
+		return err
+	}
+	return c.runPlan(result.(*collPlan), d, &a)
 }
 
 // Bcast broadcasts the root's buffer to every member. All members must
 // pass equal-length buffers, the same root and the same component.
 func (c *Comm) Bcast(buf []byte, root int, comp Component) error {
-	return c.bcastLedger(buf, root, comp, nil)
+	return c.collective(&bcastColl, collArgs{send: buf, size: len(buf), root: root, comp: comp})
 }
 
-// bcastLedger is Bcast with an optional progress ledger (the resilient
-// wrapper's). Per-op chunk marks are only attached for the distance-aware
-// component, whose schedule copies straight between the caller "data"
-// buffers at true payload offsets; the baseline components stage through
-// bounce buffers, so for them (and for any component when integrity is
-// on) the whole buffer is marked held only after the end-to-end digest
-// verifies. A failed digest clears the ledger instead — nothing in the
-// buffer can be trusted.
-func (c *Comm) bcastLedger(buf []byte, root int, comp Component, led *recovery.ChunkLedger) error {
-	_, result, err := c.coordinate(bcastArgs{buf: buf, root: root, comp: comp, led: led},
-		func(vals []any) (any, error) {
-			args := make([]bcastArgs, len(vals))
-			for i, v := range vals {
-				a, ok := v.(bcastArgs)
-				if !ok {
-					return nil, fmt.Errorf("mpi: bcast coordination corrupted")
-				}
-				args[i] = a
-				if a.root != args[0].root || a.comp != args[0].comp || len(a.buf) != len(args[0].buf) {
-					return nil, fmt.Errorf("mpi: bcast arguments mismatch across ranks")
-				}
-			}
-			size := int64(len(args[0].buf))
-			if size == 0 {
-				return c.state.emptyPlan("bcast", len(args)), nil
-			}
-			s, ad, err := c.buildBcast(size, args[0].root, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			caller := func(rank int, name string) []byte {
-				if name == "data" {
-					return args[rank].buf
-				}
-				return nil
-			}
-			plan, err := c.state.newPlan("bcast", s, caller)
-			if err != nil {
-				return nil, err
-			}
-			plan.notePlanCache(ad)
-			if c.state.world.e2eEnabled() {
-				plan.digest = integrity.Digest(args[args[0].root].buf)
-				plan.hasDigest = true
-			}
-			if args[0].comp == KNEMColl {
-				attachBcastLedgers(plan, args)
-			}
-			return plan, nil
-		})
-	if err != nil {
+// bcastColl broadcasts args.send from the root. Ledger rule (the
+// resilient wrappers' chunk ledger): per-op chunk marks only for the
+// distance-aware component, whose schedule copies straight between the
+// caller "data" buffers at true payload offsets; the baseline components
+// stage through bounce buffers, so for them (and for any component when
+// integrity is on) the whole buffer is marked held only after the
+// end-to-end digest verifies. A failed digest clears the ledger instead —
+// nothing in the buffer can be trusted.
+var bcastColl = collDesc{
+	coll:   tune.CollBcast,
+	rooted: true,
+	seal: func(c *Comm, plan *collPlan, args []collArgs, exact bool) {
+		if c.state.world.e2eEnabled() {
+			plan.digest = integrity.Digest(args[args[0].root].send)
+			plan.hasDigest = true
+		}
+		if exact {
+			attachBcastLedgers(plan, args)
+		}
+	},
+	verify: func(c *Comm, plan *collPlan, a *collArgs) error {
+		err := c.verifyBcastDigest(plan, a.send, a.root)
+		if a.chunks == nil {
+			return err
+		}
+		if err != nil {
+			a.chunks.Reset()
+		} else if plan.hasDigest {
+			a.chunks.MarkAll()
+		}
 		return err
-	}
-	plan := result.(*collPlan)
-	return c.runPlanVerified(plan, func() error {
-		return c.ledgerBcastVerify(plan, buf, root, led)
-	})
-}
-
-// ledgerBcastVerify is the post-execution digest check plus its ledger
-// consequences: a verified buffer is fully held (whatever component or
-// path delivered it), a failed one is fully untrusted.
-func (c *Comm) ledgerBcastVerify(plan *collPlan, buf []byte, root int, led *recovery.ChunkLedger) error {
-	err := c.verifyBcastDigest(plan, buf, root)
-	if led == nil {
-		return err
-	}
-	if err != nil {
-		led.Reset()
-	} else if plan.hasDigest {
-		led.MarkAll()
-	}
-	return err
+	},
+	repair: (*Comm).chooseBcastRecovery,
 }
 
 // attachBcastLedgers wires each member's progress ledger into the plan's
@@ -269,10 +335,10 @@ func (c *Comm) ledgerBcastVerify(plan *collPlan, buf []byte, root int, led *reco
 // payload offsets, so the mark is exact; with integrity on, the hook runs
 // only after the per-hop checksum verified, so only verified chunks count
 // as held.
-func attachBcastLedgers(plan *collPlan, args []bcastArgs) {
+func attachBcastLedgers(plan *collPlan, args []collArgs) {
 	s := plan.s
 	for i := range args {
-		led := args[i].led
+		led := args[i].chunks
 		if led == nil {
 			continue
 		}
@@ -306,99 +372,51 @@ func (c *Comm) verifyBcastDigest(plan *collPlan, buf []byte, root int) error {
 	return &CorruptionError{Src: origin, Dst: me, Chunk: -1, EndToEnd: true}
 }
 
-// allgatherArgs is each member's contribution to an allgather. led is the
-// member's segment ledger (nil outside the resilient wrappers).
-type allgatherArgs struct {
-	send, recv []byte
-	comp       Component
-	led        *recovery.SegLedger
-}
-
 // Allgather gathers every member's send buffer into every member's recv
 // buffer in communicator-rank order. recv must be Size()·len(send) bytes.
 func (c *Comm) Allgather(send, recv []byte, comp Component) error {
-	return c.allgatherLedger(send, recv, comp, nil)
+	return c.collective(&allgatherColl, collArgs{send: send, recv: recv, size: len(send), comp: comp})
 }
 
-// allgatherLedger is Allgather with an optional segment ledger, under the
-// same rules as bcastLedger: exact per-segment marks for the
-// distance-aware component (whose ring schedule lands whole blocks at
-// their final recv offsets), whole-result marks after a verified
-// end-to-end digest pass, a full clear after a failed one.
-func (c *Comm) allgatherLedger(send, recv []byte, comp Component, led *recovery.SegLedger) error {
-	_, result, err := c.coordinate(allgatherArgs{send: send, recv: recv, comp: comp, led: led},
-		func(vals []any) (any, error) {
-			args := make([]allgatherArgs, len(vals))
-			for i, v := range vals {
-				a, ok := v.(allgatherArgs)
-				if !ok {
-					return nil, fmt.Errorf("mpi: allgather coordination corrupted")
-				}
-				args[i] = a
-				if a.comp != args[0].comp || len(a.send) != len(args[0].send) {
-					return nil, fmt.Errorf("mpi: allgather arguments mismatch across ranks")
-				}
-				if len(a.recv) != len(vals)*len(a.send) {
-					return nil, fmt.Errorf("mpi: allgather recv buffer is %d bytes, want %d",
-						len(a.recv), len(vals)*len(a.send))
-				}
+// allgatherColl gathers every member's block, under the same ledger rules
+// as bcastColl: exact per-segment marks for the distance-aware component
+// (whose ring schedule lands whole blocks at their final recv offsets),
+// whole-result marks after a verified end-to-end digest pass, a full clear
+// after a failed one.
+var allgatherColl = collDesc{
+	coll: tune.CollAllgather,
+	check: func(args []collArgs) (int64, error) {
+		for _, a := range args {
+			if len(a.recv) != len(args)*a.size {
+				return 0, fmt.Errorf("mpi: allgather recv buffer is %d bytes, want %d", len(a.recv), len(args)*a.size)
 			}
-			block := int64(len(args[0].send))
-			if block == 0 {
-				return c.state.emptyPlan("allgather", len(args)), nil
+		}
+		return int64(args[0].size), nil
+	},
+	seal: func(c *Comm, plan *collPlan, args []collArgs, exact bool) {
+		if c.state.world.e2eEnabled() {
+			plan.digests = make([]uint32, len(args))
+			for i := range args {
+				plan.digests[i] = integrity.Digest(args[i].send)
 			}
-			s, ad, err := c.buildAllgather(block, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			caller := func(rank int, name string) []byte {
-				switch name {
-				case "send":
-					return args[rank].send
-				case "recv":
-					return args[rank].recv
-				default:
-					return nil
-				}
-			}
-			plan, err := c.state.newPlan("allgather", s, caller)
-			if err != nil {
-				return nil, err
-			}
-			plan.notePlanCache(ad)
-			if c.state.world.e2eEnabled() {
-				plan.digests = make([]uint32, len(args))
-				for i := range args {
-					plan.digests[i] = integrity.Digest(args[i].send)
-				}
-			}
-			if args[0].comp == KNEMColl {
-				attachAllgatherLedgers(plan, args, c.state.group, block)
-			}
-			return plan, nil
-		})
-	if err != nil {
+		}
+		if exact {
+			attachAllgatherLedgers(plan, args, c.state.group, int64(args[0].size))
+		}
+	},
+	verify: func(c *Comm, plan *collPlan, a *collArgs) error {
+		err := c.verifyAllgatherDigests(plan, a.recv, a.size)
+		if a.segs == nil {
+			return err
+		}
+		if err != nil {
+			a.segs.Reset()
+		} else if plan.digests != nil {
+			a.segs.MarkHeldAll(c.state.group)
+		}
 		return err
-	}
-	plan := result.(*collPlan)
-	return c.runPlanVerified(plan, func() error {
-		return c.ledgerAllgatherVerify(plan, recv, len(send), led)
-	})
-}
-
-// ledgerAllgatherVerify is the allgather digest check plus its ledger
-// consequences (see ledgerBcastVerify).
-func (c *Comm) ledgerAllgatherVerify(plan *collPlan, recv []byte, block int, led *recovery.SegLedger) error {
-	err := c.verifyAllgatherDigests(plan, recv, block)
-	if led == nil {
-		return err
-	}
-	if err != nil {
-		led.Reset()
-	} else if plan.digests != nil {
-		led.MarkHeldAll(c.state.group)
-	}
-	return err
+	},
+	repair: (*Comm).chooseAllgatherRecovery,
 }
 
 // attachAllgatherLedgers wires each member's segment ledger into the
@@ -406,11 +424,11 @@ func (c *Comm) ledgerAllgatherVerify(plan *collPlan, recv []byte, block int, led
 // offset marks that origin's segment held. Origins are recorded as WORLD
 // ranks (group translates the layout index), so the marks survive
 // communicator shrinks.
-func attachAllgatherLedgers(plan *collPlan, args []allgatherArgs, group []int, block int64) {
+func attachAllgatherLedgers(plan *collPlan, args []collArgs, group []int, block int64) {
 	s := plan.s
 	owners := append([]int(nil), group...)
 	for i := range args {
-		led := args[i].led
+		led := args[i].segs
 		if led == nil {
 			continue
 		}
@@ -450,58 +468,6 @@ func (c *Comm) verifyAllgatherDigests(plan *collPlan, recv []byte, block int) er
 	return nil
 }
 
-// buildBcast compiles the broadcast schedule for this communicator's
-// members: the distance-aware component consults the runtime placement of
-// exactly the member processes, so the topology adapts to communicator
-// composition (the paper's dynamic-communicator argument). The *adecision
-// result is non-nil only for the Adaptive component: the selector's
-// choice, which the plan builder ties to the plan id in the trace.
-func (c *Comm) buildBcast(size int64, root int, comp Component) (s *sched.Schedule, ad *adecision, err error) {
-	n := c.Size()
-	switch comp {
-	case KNEMColl:
-		tree, err := c.state.distanceTree(root)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err = core.CompileBroadcast(tree, size, 0)
-	case Tuned:
-		alg, seg := baseline.TunedBcastDecision(n, size)
-		s, err = baseline.CompileBcast(alg, n, root, size, seg, baseline.SMKnemBTL())
-	case MPICH2:
-		alg, seg := baseline.MPICHBcastDecision(n, size)
-		s, err = baseline.CompileBcast(alg, n, root, size, seg, baseline.NemesisSM())
-	case Adaptive:
-		return c.adaptiveSchedule(tune.CollBcast, root, size, 0)
-	default:
-		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
-	}
-	return s, nil, err
-}
-
-func (c *Comm) buildAllgather(block int64, comp Component) (s *sched.Schedule, ad *adecision, err error) {
-	n := c.Size()
-	switch comp {
-	case KNEMColl:
-		ring, err := c.state.distanceRing()
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err = core.CompileAllgather(ring, block)
-	case Tuned:
-		alg := baseline.TunedAllgatherDecision(n, block)
-		s, err = baseline.CompileAllgather(alg, n, block, baseline.SMKnemBTL())
-	case MPICH2:
-		alg := baseline.TunedAllgatherDecision(n, block)
-		s, err = baseline.CompileAllgather(alg, n, block, baseline.NemesisSM())
-	case Adaptive:
-		return c.adaptiveSchedule(tune.CollAllgather, 0, block, 0)
-	default:
-		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
-	}
-	return s, nil, err
-}
-
 // distanceMatrix returns the member-to-member process distances from the
 // runtime binding (cached for the communicator's lifetime).
 func (c *Comm) distanceMatrix() distance.Matrix {
@@ -510,45 +476,25 @@ func (c *Comm) distanceMatrix() distance.Matrix {
 	return c.state.matrixLocked()
 }
 
-// runPlan executes this member's share and synchronizes completion. A
-// member that crashed must NOT join the completion barrier — it is dead;
-// its absence is precisely what tells the survivors to fail over.
-func (c *Comm) runPlan(plan *collPlan) error {
-	return c.runPlanVerified(plan, nil)
-}
-
-// runPlanVerified is runPlan with a post-execution verification hook (the
-// end-to-end digest check). The hook runs after this member's share
-// completed but before the completion rendezvous, and its verdict is
-// deposited INTO the rendezvous: the completion barrier doubles as an
-// agreement on the collective's outcome, so either every member observes
-// the digest failure or none does. Without that, the one rank that
-// detected corruption would retry while the others moved on — a silent
-// divergence of the resilient recovery loops.
-func (c *Comm) runPlanVerified(plan *collPlan, verify func() error) error {
+// runPlan executes this member's share of the plan, runs the descriptor's
+// verification hook (the end-to-end digest check), and joins the outcome
+// vote. The hook runs after this member's share completed but before the
+// completion rendezvous, and its verdict is deposited INTO the
+// rendezvous: the completion barrier doubles as an agreement on the
+// collective's outcome, so either every member observes a digest failure
+// or none does. Without that, the one rank that detected corruption would
+// retry while the others moved on — a silent divergence of the resilient
+// recovery loops. A member that crashed must NOT join the vote — it is
+// dead; its absence is precisely what tells the survivors to fail over.
+func (c *Comm) runPlan(plan *collPlan, d *collDesc, a *collArgs) error {
 	finishBracket := c.opBracket(plan)
-	err := c.execute(plan)
+	err := c.execute(plan, a.op)
 	if fault.IsCrashed(err) {
 		finishBracket(err)
 		return err
 	}
-	if err == nil && verify != nil {
-		err = verify()
-	}
-	if ferr := c.finish(plan, err); err == nil {
-		err = ferr
-	}
-	finishBracket(err)
-	return err
-}
-
-// runReducePlan is runPlan for plans with combining operations.
-func (c *Comm) runReducePlan(plan *collPlan, op ReduceOp) error {
-	finishBracket := c.opBracket(plan)
-	err := c.executeReduce(plan, op)
-	if fault.IsCrashed(err) {
-		finishBracket(err)
-		return err
+	if err == nil && d.verify != nil {
+		err = d.verify(c, plan, a)
 	}
 	if ferr := c.finish(plan, err); err == nil {
 		err = ferr
@@ -574,21 +520,8 @@ func (c *Comm) opBracket(plan *collPlan) func(error) {
 
 // execute runs this member's share of the plan: consult the fault
 // injector, wait for dependencies (failure-aware, watchdogged), perform
-// the copy (via the KNEM data path for kernel-assisted ops, with transient
-// retry), signal completion.
-func (c *Comm) execute(plan *collPlan) error {
-	return c.executeOps(plan, func(o *sched.Op, dst []byte, wr int) error {
-		if o.Mode == sched.ModeKnem {
-			// Receiver-driven single copy through the device.
-			return c.knemPull(plan, wr, o, dst)
-		}
-		copy(dst, plan.bufs[o.Src][o.SrcOff:o.SrcOff+o.Bytes])
-		return nil
-	})
-}
-
-// executeOps is the shared per-member execution loop.
-func (c *Comm) executeOps(plan *collPlan, perform func(o *sched.Op, dst []byte, wr int) error) error {
+// the op, signal completion. op combines the plan's reduction ops.
+func (c *Comm) execute(plan *collPlan, op ReduceOp) error {
 	wr := c.state.group[c.rank]
 	defer func() {
 		if int(plan.leavers.Add(1)) == plan.members {
@@ -602,6 +535,7 @@ func (c *Comm) executeOps(plan *collPlan, perform func(o *sched.Op, dst []byte, 
 	if tr.Enabled() && plan.s.NumRanks <= c.Size() {
 		mx = c.distanceMatrix()
 	}
+	var scratch []byte
 	for i := range plan.s.Ops {
 		o := &plan.s.Ops[i]
 		if o.Rank != c.rank {
@@ -619,7 +553,7 @@ func (c *Comm) executeOps(plan *collPlan, perform func(o *sched.Op, dst []byte, 
 			if tr.Enabled() {
 				t0 = time.Now()
 			}
-			if err := perform(o, dst, wr); err != nil {
+			if err := c.perform(plan, o, dst, wr, op, &scratch); err != nil {
 				return err
 			}
 			if tr.Enabled() {
@@ -639,6 +573,33 @@ func (c *Comm) executeOps(plan *collPlan, perform func(o *sched.Op, dst []byte, 
 		}
 		close(plan.done[o.ID])
 	}
+	return nil
+}
+
+// perform moves one op's bytes into dst: kernel-assisted ops pull through
+// the KNEM data path (with transient retry), local ops copy. A combining
+// op folds its source into dst with op; a kernel-assisted one pulls into
+// scratch first (KNEM moves bytes, the combine is a user-space pass),
+// mirroring how a real KNEM reduction works.
+func (c *Comm) perform(plan *collPlan, o *sched.Op, dst []byte, wr int, op ReduceOp, scratch *[]byte) error {
+	src := plan.bufs[o.Src][o.SrcOff : o.SrcOff+o.Bytes]
+	if o.Kind != sched.OpReduce {
+		if o.Mode == sched.ModeKnem {
+			return c.knemPull(plan, wr, o, dst)
+		}
+		copy(dst, src)
+		return nil
+	}
+	if o.Mode == sched.ModeKnem {
+		if int64(cap(*scratch)) < o.Bytes {
+			*scratch = make([]byte, o.Bytes)
+		}
+		src = (*scratch)[:o.Bytes]
+		if err := c.knemPull(plan, wr, o, src); err != nil {
+			return err
+		}
+	}
+	op.Combine(dst, src)
 	return nil
 }
 

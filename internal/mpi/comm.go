@@ -39,12 +39,11 @@ type commState struct {
 	broken bool
 
 	// Topology cache: process placement is fixed for a communicator's
-	// lifetime, so the distance matrix, the distance-aware tree for each
-	// root and the ring are built once and reused by every later
-	// collective (the §V-B overhead concern). Guarded by mu; builds counts
-	// constructions for tests. A shrunken communicator inherits its matrix
-	// by restriction of the parent's (core.RestrictMatrix) instead of
-	// re-measuring.
+	// lifetime, so the distance matrix is built once and reused by every
+	// later collective (the §V-B overhead concern); the trees and rings
+	// compiled over it live in the world's plan cache. Guarded by mu. A
+	// shrunken communicator inherits its matrix by restriction of the
+	// parent's (core.RestrictMatrix) instead of re-measuring.
 	//
 	// On multi-machine topologies the communicator additionally carries a
 	// sparse clustered view (distance.Clustered); tree/ring construction
@@ -54,9 +53,6 @@ type commState struct {
 	matrix       distance.Matrix
 	clustered    *distance.Clustered
 	clusterKnown bool
-	trees        map[int]*core.Tree
-	ring         *core.Ring
-	builds       int
 
 	// topoHash fingerprints the matrix for plan-cache keys (computed
 	// lazily; topoHashed marks validity so hash 0 stays unambiguous).
@@ -66,13 +62,13 @@ type commState struct {
 	// healthSnap is the demotion snapshot last applied to this
 	// communicator's derived caches (nil until the first lookup on a
 	// health-enabled world). When the scorer publishes a new revision,
-	// the next lookup drops trees/ring/topoHash and re-wraps the view.
+	// the next lookup drops topoHash and re-wraps the view.
 	healthSnap *health.Snapshot
 
 	// epochSeen is the partition epoch last folded into this
 	// communicator's derived caches. When a quorum decision advances the
-	// epoch, the next lookup drops trees/ring/topoHash so no plan (or
-	// tree) compiled before the decision survives into the new epoch.
+	// epoch, the next lookup drops topoHash so no plan compiled before the
+	// decision survives into the new epoch.
 	epochSeen int64
 }
 
@@ -85,7 +81,6 @@ func newCommState(w *World, group []int) *commState {
 		slots:      make(map[int]*collSlot),
 		agreeSeqs:  make([]int, len(group)),
 		agreeSlots: make(map[int]*agreeSlot),
-		trees:      make(map[int]*core.Tree),
 	}
 }
 
@@ -141,9 +136,9 @@ func (st *commState) clusteredLocked() *distance.Clustered {
 
 // healthLocked refreshes the communicator's demotion snapshot from the
 // world's gray-failure scorer (nil when health is off). A new revision
-// drops every derived cache — trees, ring, topology hash — so the next
-// construction runs over the re-wrapped view: this is how a demotion
-// forces replan on next use without any eager notification fan-out.
+// drops the topology hash, so the next plan-cache lookup misses and
+// compiles over the re-wrapped view: this is how a demotion forces
+// replan on next use without any eager notification fan-out.
 // Callers hold st.mu.
 func (st *commState) healthLocked() *health.Snapshot {
 	s := st.world.scorer
@@ -152,23 +147,19 @@ func (st *commState) healthLocked() *health.Snapshot {
 	}
 	if snap := s.Snapshot(); st.healthSnap == nil || st.healthSnap.Rev() != snap.Rev() {
 		st.healthSnap = snap
-		st.trees = make(map[int]*core.Tree)
-		st.ring = nil
 		st.topoHashed = false
 	}
 	return st.healthSnap
 }
 
-// epochLocked returns the world's partition epoch, dropping the derived
-// caches when a quorum decision advanced it since the last lookup — the
+// epochLocked returns the world's partition epoch, dropping the topology
+// hash when a quorum decision advanced it since the last lookup — the
 // same pattern as healthLocked, keyed on the epoch instead of the
 // demotion revision. Callers hold st.mu.
 func (st *commState) epochLocked() int64 {
 	epoch := st.world.PartitionEpoch()
 	if epoch != st.epochSeen {
 		st.epochSeen = epoch
-		st.trees = make(map[int]*core.Tree)
-		st.ring = nil
 		st.topoHashed = false
 	}
 	return epoch
@@ -191,85 +182,6 @@ func (st *commState) viewLocked() distance.View {
 		return health.WrapView(base, st.group, snap)
 	}
 	return base
-}
-
-// distanceTree returns the cached distance-aware tree rooted at root,
-// building it on first use. Multi-machine communicators build through the
-// sparse hierarchical constructor (provably the same tree, o(n²) work);
-// single-machine ones keep the greedy reference builder. Demotion-wrapped
-// views build hierarchically over a clustered base and greedily over a
-// materialized dense base — both constructions tolerate the
-// non-ultrametric overlay and route around demoted edges.
-func (st *commState) distanceTree(root int) (*core.Tree, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	v := st.viewLocked() // refreshes the health snapshot, may drop st.trees
-	if t, ok := st.trees[root]; ok {
-		return t, nil
-	}
-	var t *core.Tree
-	var err error
-	switch vv := v.(type) {
-	case distance.Matrix:
-		t, err = core.BuildBroadcastTree(vv, root, core.TreeOptions{})
-	case *distance.Clustered:
-		t, err = core.BuildBroadcastTreeHier(vv, root, core.TreeOptions{})
-	default:
-		if wrapsClustered(v) {
-			t, err = core.BuildBroadcastTreeHier(v, root, core.TreeOptions{})
-		} else {
-			t, err = core.BuildBroadcastTree(distance.Materialize(v), root, core.TreeOptions{})
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	st.trees[root] = t
-	st.builds++
-	return t, nil
-}
-
-// distanceRing returns the cached distance-aware ring, hierarchical on
-// multi-machine communicators (same level structure; orientation may
-// differ from the greedy's, which check.VerifyAllgather accepts).
-func (st *commState) distanceRing() (*core.Ring, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	v := st.viewLocked() // refreshes the health snapshot, may drop st.ring
-	if st.ring != nil {
-		return st.ring, nil
-	}
-	var r *core.Ring
-	var err error
-	switch vv := v.(type) {
-	case distance.Matrix:
-		r, err = core.BuildAllgatherRing(vv, core.RingOptions{})
-	case *distance.Clustered:
-		r, err = core.BuildAllgatherRingHier(vv, core.RingOptions{})
-	default:
-		if wrapsClustered(v) {
-			r, err = core.BuildAllgatherRingHier(v, core.RingOptions{})
-		} else {
-			r, err = core.BuildAllgatherRing(distance.Materialize(v), core.RingOptions{})
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	st.ring = r
-	st.builds++
-	return r, nil
-}
-
-// wrapsClustered reports whether v is a demotion overlay over a sparse
-// clustered base, i.e. whether hierarchical construction applies.
-func wrapsClustered(v distance.View) bool {
-	hv, ok := v.(*health.View)
-	if !ok {
-		return false
-	}
-	_, clustered := hv.Base().(*distance.Clustered)
-	return clustered
 }
 
 // collSlot synchronizes one collective call across the communicator.

@@ -2,11 +2,9 @@ package mpi
 
 import (
 	"context"
-	"fmt"
 
 	"distcoll/internal/binding"
 	"distcoll/internal/core"
-	"distcoll/internal/integrity"
 	"distcoll/internal/machine"
 	"distcoll/internal/recovery"
 	"distcoll/internal/sched"
@@ -14,8 +12,8 @@ import (
 
 // This file is the delta-repair half of incremental recovery (DESIGN.md
 // §11). After a failed collective is agreed and shrunk, the survivors
-// exchange their progress-ledger rows through the coordinate rendezvous
-// (the "small metadata allgather"), and the last arriver — exactly once,
+// deposit their progress ledgers at the coordinate rendezvous (the "small
+// metadata allgather"), and the last arriver — exactly once,
 // so the decision is uniform by construction — merges them, compiles both
 // the full-restart schedule and a distance-aware repair schedule over
 // only the missing (rank, chunk) pairs, and picks the cheaper of the two
@@ -37,114 +35,72 @@ type deltaOutcome struct {
 	mode string // recoverRepair | recoverRestart
 }
 
-// bcastDeltaArgs is each survivor's contribution to a broadcast recovery
-// rendezvous: its ordinary bcast arguments plus its ledger row.
-type bcastDeltaArgs struct {
-	buf   []byte
-	root  int
-	comp  Component
-	spans []recovery.Interval
-	led   *recovery.ChunkLedger
-}
-
-// bcastDelta re-runs a failed broadcast on the (typically shrunken)
-// communicator incrementally: missing chunks are pulled from the
-// minimum-distance survivors that verifiably hold them, unless the merged
-// ledger is empty or the machine model estimates a fresh run cheaper.
-// Returns the mode the rendezvous chose, which is identical on every
-// member.
-func (c *Comm) bcastDelta(ctx context.Context, buf []byte, root int, comp Component, led *recovery.ChunkLedger) (string, error) {
-	_, result, err := c.coordinateCtx(ctx,
-		bcastDeltaArgs{buf: buf, root: root, comp: comp, spans: led.Spans(), led: led},
-		func(vals []any) (any, error) {
-			args := make([]bcastDeltaArgs, len(vals))
-			for i, v := range vals {
-				a, ok := v.(bcastDeltaArgs)
-				if !ok {
-					return nil, fmt.Errorf("mpi: bcast recovery coordination corrupted")
-				}
-				args[i] = a
-				if a.root != args[0].root || a.comp != args[0].comp || len(a.buf) != len(args[0].buf) {
-					return nil, fmt.Errorf("mpi: bcast recovery arguments mismatch across ranks")
-				}
-			}
-			size := int64(len(args[0].buf))
-			r := args[0].root
-			if size == 0 {
-				return &deltaOutcome{plan: c.state.emptyPlan("bcast", len(args)), mode: recoverRestart}, nil
-			}
-			full, _, err := c.buildBcast(size, r, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			holds := make([]*recovery.IntervalSet, len(args))
-			var held int64
-			for i := range args {
-				holds[i] = recovery.NewSet(args[i].spans)
-				if i != r {
-					held += holds[i].Total()
-				}
-			}
-			// The root's caller buffer is the payload source by definition.
-			holds[r].Add(0, size)
-
-			s, mode, missing := c.chooseBcastRecovery(full, holds, size, held)
-			opName := "bcast"
-			if mode == recoverRepair {
-				opName = "bcast.repair"
-			}
-			caller := func(rank int, name string) []byte {
-				if name == "data" {
-					return args[rank].buf
-				}
-				return nil
-			}
-			plan, err := c.state.newPlan(opName, s, caller)
-			if err != nil {
-				return nil, err
-			}
-			if c.state.world.e2eEnabled() {
-				plan.digest = integrity.Digest(args[r].buf)
-				plan.hasDigest = true
-			}
-			// Repair schedules copy at true payload offsets by construction;
-			// restart marks apply under the same component rule as first runs.
-			if mode == recoverRepair || args[0].comp == KNEMColl {
-				attachBcastLedgers(plan, bcastLedgerArgs(args))
-			}
-			moved := s.TotalCopiedBytes()
-			fullBytes := full.TotalCopiedBytes()
-			var saved int64
-			if mode == recoverRepair {
-				saved = fullBytes - moved
-			}
-			c.state.world.tracer.Recovery("bcast", mode, missing, moved, fullBytes, saved)
-			return &deltaOutcome{plan: plan, mode: mode}, nil
-		})
+// delta re-runs a failed collective on the (typically shrunken)
+// communicator incrementally: the rendezvous takes the collective's own
+// argument check, compiles the full-restart schedule through the ordinary
+// decision and plan-cache step, lets the descriptor's repair hook choose
+// between it and a repair over only the missing pieces, and binds and
+// seals the winner like a first run. Repair schedules copy at true payload
+// offsets by construction, so their ledger marks are always exact; restart
+// marks apply under the same component rule as first runs. Returns the
+// mode the rendezvous chose, which is identical on every member.
+func (c *Comm) delta(ctx context.Context, d *collDesc, a collArgs) (string, error) {
+	_, result, err := c.coordinateCtx(ctx, a, func(vals []any) (any, error) {
+		args, bytes, err := d.agree(vals)
+		if err != nil {
+			return nil, err
+		}
+		if bytes == 0 {
+			return &deltaOutcome{plan: c.state.emptyPlan(string(d.coll), len(args)), mode: recoverRestart}, nil
+		}
+		full, _, err := c.schedule(d, &args[0], bytes)
+		if err != nil {
+			return nil, err
+		}
+		s, mode, missing := d.repair(c, args, full, bytes)
+		opName := string(d.coll)
+		if mode == recoverRepair {
+			opName += ".repair"
+		}
+		plan, err := c.state.newPlan(opName, s, args)
+		if err != nil {
+			return nil, err
+		}
+		d.seal(c, plan, args, mode == recoverRepair || args[0].comp == KNEMColl)
+		moved := s.TotalCopiedBytes()
+		fullBytes := full.TotalCopiedBytes()
+		var saved int64
+		if mode == recoverRepair {
+			saved = fullBytes - moved
+		}
+		c.state.world.tracer.Recovery(string(d.coll), mode, missing, moved, fullBytes, saved)
+		return &deltaOutcome{plan: plan, mode: mode}, nil
+	})
 	if err != nil {
 		return "", err
 	}
 	out := result.(*deltaOutcome)
-	return out.mode, c.runPlanVerified(out.plan, func() error {
-		return c.ledgerBcastVerify(out.plan, buf, root, led)
-	})
+	return out.mode, c.runPlan(out.plan, d, &a)
 }
 
-// bcastLedgerArgs projects recovery rendezvous args onto the plain bcast
-// args the ledger hook builder takes.
-func bcastLedgerArgs(args []bcastDeltaArgs) []bcastArgs {
-	out := make([]bcastArgs, len(args))
-	for i, a := range args {
-		out[i] = bcastArgs{buf: a.buf, root: a.root, comp: a.comp, led: a.led}
-	}
-	return out
-}
-
-// chooseBcastRecovery picks the recovery schedule: delta repair when the
+// chooseBcastRecovery picks the broadcast recovery schedule from the
+// survivors' chunk ledgers: delta repair — missing chunks pulled from the
+// minimum-distance survivors that verifiably hold them — when the
 // survivors hold anything worth keeping AND the machine model prices the
 // repair below a fresh run; the full restart schedule otherwise. missing
 // reports the missing (rank, chunk) pairs the merged ledgers imply.
-func (c *Comm) chooseBcastRecovery(full *sched.Schedule, holds []*recovery.IntervalSet, size, held int64) (*sched.Schedule, string, int) {
+func (c *Comm) chooseBcastRecovery(args []collArgs, full *sched.Schedule, size int64) (*sched.Schedule, string, int) {
+	r := args[0].root
+	holds := make([]*recovery.IntervalSet, len(args))
+	var held int64
+	for i := range args {
+		holds[i] = recovery.NewSet(args[i].chunks.Spans())
+		if i != r {
+			held += holds[i].Total()
+		}
+	}
+	// The root's caller buffer is the payload source by definition.
+	holds[r].Add(0, size)
 	chunks := sched.Chunks(size, core.BroadcastChunk(size, 2))
 	missing := 0
 	for r := range holds {
@@ -166,133 +122,39 @@ func (c *Comm) chooseBcastRecovery(full *sched.Schedule, holds []*recovery.Inter
 	return repair, recoverRepair, missing
 }
 
-// allgatherDeltaArgs is each survivor's contribution to an allgather
-// recovery rendezvous. held lists the WORLD-rank origins whose block the
+// chooseAllgatherRecovery is chooseBcastRecovery for the allgather:
+// survivors keep the segments they already hold — including segments
+// that reached them via a now-dead forwarder — and only the missing
+// (rank, origin) pairs move, each from its minimum-distance surviving
+// holder. A segment ledger lists the WORLD-rank origins whose block the
 // member's receive buffer holds at the current layout (the resilient
 // wrapper compacts the buffer after every shrink to keep that invariant).
-type allgatherDeltaArgs struct {
-	send, recv []byte
-	comp       Component
-	held       []int
-	led        *recovery.SegLedger
-}
-
-// allgatherDelta re-runs a failed allgather incrementally, like
-// bcastDelta: survivors keep the segments they already hold — including
-// segments that reached them via a now-dead forwarder — and only the
-// missing (rank, origin) pairs move, each from its minimum-distance
-// surviving holder.
-func (c *Comm) allgatherDelta(ctx context.Context, send, recv []byte, comp Component, led *recovery.SegLedger) (string, error) {
-	_, result, err := c.coordinateCtx(ctx,
-		allgatherDeltaArgs{send: send, recv: recv, comp: comp, held: led.Origins(), led: led},
-		func(vals []any) (any, error) {
-			args := make([]allgatherDeltaArgs, len(vals))
-			for i, v := range vals {
-				a, ok := v.(allgatherDeltaArgs)
-				if !ok {
-					return nil, fmt.Errorf("mpi: allgather recovery coordination corrupted")
-				}
-				args[i] = a
-				if a.comp != args[0].comp || len(a.send) != len(args[0].send) {
-					return nil, fmt.Errorf("mpi: allgather recovery arguments mismatch across ranks")
-				}
-				if len(a.recv) != len(vals)*len(a.send) {
-					return nil, fmt.Errorf("mpi: allgather recovery recv buffer is %d bytes, want %d",
-						len(a.recv), len(vals)*len(a.send))
-				}
-			}
-			block := int64(len(args[0].send))
-			n := len(args)
-			if block == 0 {
-				return &deltaOutcome{plan: c.state.emptyPlan("allgather", n), mode: recoverRestart}, nil
-			}
-			full, _, err := c.buildAllgather(block, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			group := c.state.group
-			idxOf := make(map[int]int, n)
-			for i, wr := range group {
-				idxOf[wr] = i
-			}
-			holds := make([][]bool, n)
-			heldCount := 0
-			for v := range args {
-				holds[v] = make([]bool, n)
-				for _, wr := range args[v].held {
-					if o, ok := idxOf[wr]; ok {
-						holds[v][o] = true
-						heldCount++
-					}
-				}
-			}
-			missing := n*n - heldCount
-			s, mode := c.chooseAllgatherRecovery(full, holds, block, heldCount)
-			opName := "allgather"
-			if mode == recoverRepair {
-				opName = "allgather.repair"
-			}
-			caller := func(rank int, name string) []byte {
-				switch name {
-				case "send":
-					return args[rank].send
-				case "recv":
-					return args[rank].recv
-				default:
-					return nil
-				}
-			}
-			plan, err := c.state.newPlan(opName, s, caller)
-			if err != nil {
-				return nil, err
-			}
-			if c.state.world.e2eEnabled() {
-				plan.digests = make([]uint32, n)
-				for i := range args {
-					plan.digests[i] = integrity.Digest(args[i].send)
-				}
-			}
-			if mode == recoverRepair || args[0].comp == KNEMColl {
-				attachAllgatherLedgers(plan, allgatherLedgerArgs(args), group, block)
-			}
-			moved := s.TotalCopiedBytes()
-			fullBytes := full.TotalCopiedBytes()
-			var saved int64
-			if mode == recoverRepair {
-				saved = fullBytes - moved
-			}
-			c.state.world.tracer.Recovery("allgather", mode, missing, moved, fullBytes, saved)
-			return &deltaOutcome{plan: plan, mode: mode}, nil
-		})
-	if err != nil {
-		return "", err
+func (c *Comm) chooseAllgatherRecovery(args []collArgs, full *sched.Schedule, block int64) (*sched.Schedule, string, int) {
+	n := len(args)
+	idxOf := make(map[int]int, n)
+	for i, wr := range c.state.group {
+		idxOf[wr] = i
 	}
-	out := result.(*deltaOutcome)
-	return out.mode, c.runPlanVerified(out.plan, func() error {
-		return c.ledgerAllgatherVerify(out.plan, recv, len(send), led)
-	})
-}
-
-// allgatherLedgerArgs projects recovery rendezvous args onto the plain
-// allgather args the ledger hook builder takes.
-func allgatherLedgerArgs(args []allgatherDeltaArgs) []allgatherArgs {
-	out := make([]allgatherArgs, len(args))
-	for i, a := range args {
-		out[i] = allgatherArgs{send: a.send, recv: a.recv, comp: a.comp, led: a.led}
+	holds := make([][]bool, n)
+	heldCount := 0
+	for v := range args {
+		holds[v] = make([]bool, n)
+		for _, wr := range args[v].segs.Origins() {
+			if o, ok := idxOf[wr]; ok {
+				holds[v][o] = true
+				heldCount++
+			}
+		}
 	}
-	return out
-}
-
-// chooseAllgatherRecovery is chooseBcastRecovery for the allgather.
-func (c *Comm) chooseAllgatherRecovery(full *sched.Schedule, holds [][]bool, block int64, heldCount int) (*sched.Schedule, string) {
+	missing := n*n - heldCount
 	if heldCount == 0 {
-		return full, recoverRestart
+		return full, recoverRestart, missing
 	}
 	repair, err := core.CompileAllgatherRepair(c.distanceMatrix(), block, holds)
 	if err != nil || !c.repairCheaper(repair, full) {
-		return full, recoverRestart
+		return full, recoverRestart, missing
 	}
-	return repair, recoverRepair
+	return repair, recoverRepair, missing
 }
 
 // repairCheaper is the repair-vs-restart cost cutoff: both schedules are

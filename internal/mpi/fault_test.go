@@ -392,16 +392,17 @@ func TestBrokenCommFailsFastAndShrinkRecovers(t *testing.T) {
 }
 
 // TestShrunkenTopologyMatchesSurvivorPlacement: the shrunken
-// communicator's distance-aware tree must be a genuine rebuild over the
-// survivors (node count, validity), not a patched copy of the old one.
+// communicator's distance-aware broadcast must be a genuine recompile over
+// the survivors (rank count, validity), not a patched copy of the old one.
 func TestShrunkenTopologyMatchesSurvivorPlacement(t *testing.T) {
 	const (
 		n      = 8
 		victim = 6
+		size   = 128
 	)
 	w := faultWorld(t, n, fault.Plan{CrashAtOp: map[int]int{victim: 0}})
 	err := w.Run(func(p *Proc) error {
-		buf := make([]byte, 128)
+		buf := make([]byte, size)
 		nc, err := p.Comm().BcastResilient(buf, 0, KNEMColl)
 		if p.Rank() == victim {
 			return nil
@@ -412,25 +413,29 @@ func TestShrunkenTopologyMatchesSurvivorPlacement(t *testing.T) {
 		if p.Rank() != 0 {
 			return nil
 		}
-		st := nc.state
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if st.builds == 0 {
-			t.Error("shrunken comm never rebuilt a topology")
+		// The recovery compiled the shrunken comm's broadcast into the
+		// plan cache: looking it up again must hit.
+		s, ad, err := nc.schedule(&bcastColl, &collArgs{comp: KNEMColl}, size)
+		if err != nil {
+			return err
 		}
-		tree := st.trees[0]
-		if tree == nil {
-			t.Fatal("no tree cached for root 0 on the shrunken comm")
+		if ad != nil {
+			t.Error("a fixed component reported a selector decision")
 		}
-		if err := tree.Validate(); err != nil {
-			t.Errorf("rebuilt tree invalid: %v", err)
+		if err := s.Validate(); err != nil {
+			t.Errorf("recompiled schedule invalid: %v", err)
 		}
-		if len(tree.Parent) != n-1 {
-			t.Errorf("rebuilt tree spans %d ranks, want %d", len(tree.Parent), n-1)
+		if s.NumRanks != n-1 {
+			t.Errorf("recompiled schedule spans %d ranks, want %d", s.NumRanks, n-1)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("survivors failed: %v", err)
+	}
+	// One compile for the original comm, at least one after the shrink;
+	// the lookup above was a hit.
+	if st := w.PlanCache().Stats(); st.Misses < 2 || st.Hits < 1 {
+		t.Errorf("plan cache misses/hits = %d/%d, want the shrunken comm recompiled (≥ 2/≥ 1)", st.Misses, st.Hits)
 	}
 }

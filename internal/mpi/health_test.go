@@ -64,12 +64,8 @@ func TestHealthDemotionSteersTree(t *testing.T) {
 	class := st.viewLocked().At(0, 4)
 	topo0 := st.topoHashLocked()
 	st.mu.Unlock()
-	tree0, err := st.distanceTree(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree0.Parent[4] != 0 {
-		t.Fatalf("baseline tree does not use edge 0-4 (parent[4] = %d); pick another edge", tree0.Parent[4])
+	if !bcastPulls(t, w, 0, 4) {
+		t.Fatal("baseline broadcast does not use edge 0-4; pick another edge")
 	}
 
 	demoteEdge(t, w, 0, 4, class)
@@ -89,12 +85,8 @@ func TestHealthDemotionSteersTree(t *testing.T) {
 	if topo1 == topo0 {
 		t.Error("topology hash unchanged across a demotion revision")
 	}
-	tree1, err := st.distanceTree(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree1.Parent[4] == 0 {
-		t.Errorf("rebuilt tree still attaches rank 4 to rank 0 over the demoted edge")
+	if bcastPulls(t, w, 0, 4) {
+		t.Errorf("recompiled broadcast still pulls rank 4 from rank 0 over the demoted edge")
 	}
 	// The collective must still complete over the re-routed tree.
 	want := pattern(0, 2048)
@@ -114,6 +106,24 @@ func TestHealthDemotionSteersTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// bcastPulls compiles the world communicator's next distance-aware
+// broadcast from root 0 and reports whether any op pulls into rank dst
+// from rank src.
+func bcastPulls(t *testing.T, w *World, src, dst int) bool {
+	t.Helper()
+	c := &Comm{state: w.worldComm}
+	s, _, err := c.schedule(&bcastColl, &collArgs{comp: KNEMColl}, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range s.Ops {
+		if s.Buffers[o.Src].Rank == src && s.Buffers[o.Dst].Rank == dst {
+			return true
+		}
+	}
+	return false
 }
 
 // TestHealthRevisionInvalidatesPlans: a demotion revision must invalidate

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"distcoll/internal/baseline"
-	"distcoll/internal/core"
-	"distcoll/internal/sched"
 	"distcoll/internal/tune"
 )
 
@@ -59,209 +56,44 @@ var (
 	}}
 )
 
-// reduceArgs is each member's contribution to a Reduce.
-type reduceArgs struct {
-	send, recv []byte
-	root       int
-	op         string
-	comp       Component
-}
-
 // Reduce combines every member's send buffer with op; the result lands in
 // the root's recv buffer (nil elsewhere). This is the paper's §VI
 // future-work extension: the distance-aware component reduces up the
 // Algorithm-1 tree, so partial results cross each slow link exactly once.
+// Buffer lengths must be a multiple of the operator's element size.
 func (c *Comm) Reduce(send, recv []byte, root int, op ReduceOp, comp Component) error {
-	_, result, err := c.coordinate(reduceArgs{send: send, recv: recv, root: root, op: op.Name, comp: comp},
-		func(vals []any) (any, error) {
-			args := make([]reduceArgs, len(vals))
-			for i, v := range vals {
-				a, ok := v.(reduceArgs)
-				if !ok {
-					return nil, fmt.Errorf("mpi: reduce coordination corrupted")
-				}
-				args[i] = a
-				if a.root != args[0].root || a.comp != args[0].comp ||
-					a.op != args[0].op || len(a.send) != len(args[0].send) {
-					return nil, fmt.Errorf("mpi: reduce arguments mismatch across ranks")
-				}
-			}
-			rt := args[0].root
-			if rt < 0 || rt >= len(args) {
-				return nil, fmt.Errorf("mpi: reduce root %d out of range", rt)
-			}
-			if len(args[rt].recv) != len(args[rt].send) {
-				return nil, fmt.Errorf("mpi: reduce root recv buffer is %d bytes, want %d",
-					len(args[rt].recv), len(args[rt].send))
-			}
-			size := int64(len(args[0].send))
-			if size == 0 {
-				return c.state.emptyPlan("reduce", len(args)), nil
-			}
-			s, ad, err := c.buildReduce(size, rt, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			caller := func(rank int, name string) []byte {
-				switch {
-				case name == "send":
-					return args[rank].send
-				case name == "acc" && rank == rt:
-					return args[rank].recv
-				default:
-					return nil
-				}
-			}
-			plan, err := c.state.newPlan("reduce", s, caller)
-			if err != nil {
-				return nil, err
-			}
-			plan.notePlanCache(ad)
-			return plan, nil
-		})
-	if err != nil {
-		return err
-	}
-	return c.runReducePlan(result.(*collPlan), op)
+	return c.collective(&reduceColl, collArgs{send: send, recv: recv, size: len(send), root: root, comp: comp, op: op})
 }
 
-// allreduceArgs is each member's contribution to an Allreduce.
-type allreduceArgs struct {
-	send, recv []byte
-	op         string
-	elem       int64
-	comp       Component
+var reduceColl = collDesc{
+	coll:   tune.CollReduce,
+	rooted: true,
+	reduce: true,
+	check: func(args []collArgs) (int64, error) {
+		rt := &args[args[0].root]
+		if len(rt.recv) != rt.size {
+			return 0, fmt.Errorf("mpi: reduce root recv buffer is %d bytes, want %d", len(rt.recv), rt.size)
+		}
+		return int64(rt.size), nil
+	},
 }
 
 // Allreduce combines every member's send buffer with op and delivers the
 // result to every member's recv buffer. Buffer lengths must be a multiple
 // of the operator's element size.
 func (c *Comm) Allreduce(send, recv []byte, op ReduceOp, comp Component) error {
-	elem := op.ElemSize
-	if elem < 1 {
-		elem = 1
-	}
-	_, result, err := c.coordinate(allreduceArgs{send: send, recv: recv, op: op.Name, elem: elem, comp: comp},
-		func(vals []any) (any, error) {
-			args := make([]allreduceArgs, len(vals))
-			for i, v := range vals {
-				a, ok := v.(allreduceArgs)
-				if !ok {
-					return nil, fmt.Errorf("mpi: allreduce coordination corrupted")
-				}
-				args[i] = a
-				if a.comp != args[0].comp || a.op != args[0].op || len(a.send) != len(args[0].send) {
-					return nil, fmt.Errorf("mpi: allreduce arguments mismatch across ranks")
-				}
-				if a.elem > 0 && int64(len(a.send))%a.elem != 0 {
-					return nil, fmt.Errorf("mpi: allreduce buffer of %d bytes is not a multiple of element size %d",
-						len(a.send), a.elem)
-				}
-				if len(a.recv) != len(a.send) {
-					return nil, fmt.Errorf("mpi: allreduce recv buffer is %d bytes, want %d",
-						len(a.recv), len(a.send))
-				}
-			}
-			size := int64(len(args[0].send))
-			if size == 0 {
-				return c.state.emptyPlan("allreduce", len(args)), nil
-			}
-			s, ad, err := c.buildAllreduce(size, args[0].elem, args[0].comp)
-			if err != nil {
-				return nil, err
-			}
-			caller := func(rank int, name string) []byte {
-				switch name {
-				case "send":
-					return args[rank].send
-				case "recv":
-					return args[rank].recv
-				default:
-					return nil
-				}
-			}
-			plan, err := c.state.newPlan("allreduce", s, caller)
-			if err != nil {
-				return nil, err
-			}
-			plan.notePlanCache(ad)
-			return plan, nil
-		})
-	if err != nil {
-		return err
-	}
-	return c.runReducePlan(result.(*collPlan), op)
+	return c.collective(&allreduceColl, collArgs{send: send, recv: recv, size: len(send), comp: comp, op: op})
 }
 
-func (c *Comm) buildReduce(size int64, root int, comp Component) (s *sched.Schedule, ad *adecision, err error) {
-	n := c.Size()
-	switch comp {
-	case KNEMColl:
-		tree, err := c.state.distanceTree(root)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err = core.CompileReduce(tree, size, 0)
-	case Tuned:
-		s, err = baseline.CompileReduce(n, root, size, baseline.TunedReduceDecision(n, size), baseline.SMKnemBTL())
-	case MPICH2:
-		s, err = baseline.CompileReduce(n, root, size, baseline.TunedReduceDecision(n, size), baseline.NemesisSM())
-	case Adaptive:
-		return c.adaptiveSchedule(tune.CollReduce, root, size, 0)
-	default:
-		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
-	}
-	return s, nil, err
-}
-
-func (c *Comm) buildAllreduce(size, align int64, comp Component) (s *sched.Schedule, ad *adecision, err error) {
-	n := c.Size()
-	switch comp {
-	case KNEMColl:
-		ring, err := c.state.distanceRing()
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err = core.CompileAllreduce(ring, size, align)
-	case Tuned:
-		s, err = baseline.CompileAllreduce(baseline.TunedAllreduceDecision(n, size), n, size, align, baseline.SMKnemBTL())
-	case MPICH2:
-		s, err = baseline.CompileAllreduce(baseline.TunedAllreduceDecision(n, size), n, size, align, baseline.NemesisSM())
-	case Adaptive:
-		return c.adaptiveSchedule(tune.CollAllreduce, 0, size, align)
-	default:
-		return nil, nil, fmt.Errorf("mpi: unknown component %v", comp)
-	}
-	return s, nil, err
-}
-
-// executeReduce runs this member's share of a plan that may contain
-// combining operations. Kernel-assisted reduces pull into a scratch
-// buffer first (KNEM moves bytes; the combine is a user-space pass),
-// mirroring how a real KNEM reduction works. Fault handling (injection,
-// failure-aware dependency waits, transient retry) matches execute.
-func (c *Comm) executeReduce(plan *collPlan, op ReduceOp) error {
-	var scratch []byte
-	return c.executeOps(plan, func(o *sched.Op, dst []byte, wr int) error {
-		switch {
-		case o.Kind == sched.OpReduce && o.Mode == sched.ModeKnem:
-			if int64(cap(scratch)) < o.Bytes {
-				scratch = make([]byte, o.Bytes)
+var allreduceColl = collDesc{
+	coll:   tune.CollAllreduce,
+	reduce: true,
+	check: func(args []collArgs) (int64, error) {
+		for _, a := range args {
+			if len(a.recv) != a.size {
+				return 0, fmt.Errorf("mpi: allreduce recv buffer is %d bytes, want %d", len(a.recv), a.size)
 			}
-			tmp := scratch[:o.Bytes]
-			if err := c.knemPull(plan, wr, o, tmp); err != nil {
-				return err
-			}
-			op.Combine(dst, tmp)
-			return nil
-		case o.Kind == sched.OpReduce:
-			op.Combine(dst, plan.bufs[o.Src][o.SrcOff:o.SrcOff+o.Bytes])
-			return nil
-		case o.Mode == sched.ModeKnem:
-			return c.knemPull(plan, wr, o, dst)
-		default:
-			copy(dst, plan.bufs[o.Src][o.SrcOff:o.SrcOff+o.Bytes])
-			return nil
 		}
-	})
+		return int64(args[0].size), nil
+	},
 }

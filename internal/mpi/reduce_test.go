@@ -1,80 +1,11 @@
 package mpi
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
 )
-
-func TestReduceAllComponents(t *testing.T) {
-	for _, comp := range []Component{KNEMColl, Tuned, MPICH2} {
-		for _, bind := range []string{"contiguous", "crosssocket"} {
-			w := igWorld(t, bind, 48)
-			const root, size = 11, 8192
-			want := make([]byte, size)
-			for r := 0; r < 48; r++ {
-				p := pattern(r, size)
-				for i := range want {
-					want[i] += p[i]
-				}
-			}
-			sum := ReduceOp{Name: "sum_u8", Combine: func(dst, src []byte) {
-				for i := range dst {
-					dst[i] += src[i]
-				}
-			}}
-			err := w.Run(func(p *Proc) error {
-				var recv []byte
-				if p.Rank() == root {
-					recv = make([]byte, size)
-				}
-				if err := p.Comm().Reduce(pattern(p.Rank(), size), recv, root, sum, comp); err != nil {
-					return err
-				}
-				if p.Rank() == root && !bytes.Equal(recv, want) {
-					return fmt.Errorf("wrong reduction at root")
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%v/%s: %v", comp, bind, err)
-			}
-		}
-	}
-}
-
-func TestAllreduceAllComponents(t *testing.T) {
-	for _, comp := range []Component{KNEMColl, Tuned, MPICH2} {
-		for _, n := range []int{16, 48} { // pow2 exercises recursive doubling
-			w := igWorld(t, "random", n)
-			const size = 48 * 512
-			want := make([]byte, size)
-			for r := 0; r < n; r++ {
-				p := pattern(r, size)
-				for i := range want {
-					if p[i] > want[i] {
-						want[i] = p[i]
-					}
-				}
-			}
-			err := w.Run(func(p *Proc) error {
-				recv := make([]byte, size)
-				if err := p.Comm().Allreduce(pattern(p.Rank(), size), recv, OpMaxUint8, comp); err != nil {
-					return err
-				}
-				if !bytes.Equal(recv, want) {
-					return fmt.Errorf("rank %d wrong allreduce result", p.Rank())
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%v n=%d: %v", comp, n, err)
-			}
-		}
-	}
-}
 
 func TestAllreduceFloat64Sum(t *testing.T) {
 	w := igWorld(t, "crosssocket", 24)
@@ -199,44 +130,6 @@ func TestZeroByteReduce(t *testing.T) {
 	}
 }
 
-func TestGatherScatterAllComponents(t *testing.T) {
-	for _, comp := range []Component{KNEMColl, Tuned, MPICH2} {
-		for _, root := range []int{0, 13} {
-			w := igWorld(t, "crosssocket", 48)
-			const block = 777
-			err := w.Run(func(p *Proc) error {
-				comm := p.Comm()
-				var recv []byte
-				if p.Rank() == root {
-					recv = make([]byte, 48*block)
-				}
-				if err := comm.Gather(pattern(p.Rank(), block), recv, root, comp); err != nil {
-					return err
-				}
-				if p.Rank() == root {
-					for r := 0; r < 48; r++ {
-						if !bytes.Equal(recv[r*block:(r+1)*block], pattern(r, block)) {
-							return fmt.Errorf("gather: wrong block from rank %d", r)
-						}
-					}
-				}
-				// Scatter the gathered data back out and verify.
-				out := make([]byte, block)
-				if err := comm.Scatter(recv, out, root, comp); err != nil {
-					return err
-				}
-				if !bytes.Equal(out, pattern(p.Rank(), block)) {
-					return fmt.Errorf("scatter: rank %d got wrong block", p.Rank())
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%v root=%d: %v", comp, root, err)
-			}
-		}
-	}
-}
-
 func TestGatherValidation(t *testing.T) {
 	w := igWorld(t, "contiguous", 4)
 	err := w.Run(func(p *Proc) error {
@@ -254,37 +147,6 @@ func TestGatherValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAlltoallAllComponents(t *testing.T) {
-	for _, comp := range []Component{KNEMColl, Tuned, MPICH2} {
-		for _, tc := range []struct {
-			n     int
-			block int
-		}{{24, 512}, {24, 32 << 10}} { // small → hierarchical, large → direct
-			w := igWorld(t, "crosssocket", tc.n)
-			err := w.Run(func(p *Proc) error {
-				n, block := tc.n, tc.block
-				send := make([]byte, n*block)
-				for q := 0; q < n; q++ {
-					copy(send[q*block:], pattern(p.Rank()*100+q, block))
-				}
-				recv := make([]byte, n*block)
-				if err := p.Comm().Alltoall(send, recv, comp); err != nil {
-					return err
-				}
-				for a := 0; a < n; a++ {
-					if !bytes.Equal(recv[a*block:(a+1)*block], pattern(a*100+p.Rank(), block)) {
-						return fmt.Errorf("rank %d: wrong block from %d", p.Rank(), a)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%v n=%d block=%d: %v", comp, tc.n, tc.block, err)
-			}
-		}
 	}
 }
 

@@ -194,12 +194,13 @@ func (c *Comm) BcastResilientContext(ctx context.Context, buf []byte, root int, 
 		if r < 0 {
 			return cur, fmt.Errorf("mpi: broadcast root (world rank %d) failed; cannot recover", rootWorld)
 		}
+		a := collArgs{send: buf, size: len(buf), root: r, comp: comp, chunks: led}
 		var err error
 		if shrunk {
-			_, err = cur.bcastDelta(ctx, buf, r, comp, led)
+			_, err = cur.delta(ctx, &bcastColl, a)
 			shrunk = false
 		} else {
-			err = cur.bcastLedger(buf, r, comp, led)
+			err = cur.collective(&bcastColl, a)
 		}
 		if err == nil {
 			return cur, nil
@@ -258,12 +259,13 @@ func (c *Comm) AllgatherResilientContext(ctx context.Context, send, recv []byte,
 	lastGroup := append([]int(nil), c.state.group...)
 	for try := 0; ; try++ {
 		out := recv[:cur.Size()*len(send)]
+		a := collArgs{send: send, recv: out, size: len(send), comp: comp, segs: led}
 		var err error
 		if shrunk {
-			_, err = cur.allgatherDelta(ctx, send, out, comp, led)
+			_, err = cur.delta(ctx, &allgatherColl, a)
 			shrunk = false
 		} else {
-			err = cur.allgatherLedger(send, out, comp, led)
+			err = cur.collective(&allgatherColl, a)
 		}
 		if err == nil {
 			return cur, out, nil

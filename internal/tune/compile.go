@@ -9,12 +9,18 @@ import (
 	"distcoll/internal/sched"
 )
 
+// AlltoallHierarchicalLimit: below this block size the distance-aware
+// component aggregates inter-node traffic at machine leaders (one network
+// message per node pair); above it the direct single-copy schedule wins —
+// alltoall volume is irreducible, staging only adds copies and leaders
+// become hot spots. Calibrated from the alltoall extension experiment.
+const AlltoallHierarchicalLimit = 512
+
 // CompileFor compiles the schedule a decision names, over the given
 // distance view. It is the single mapping from decisions to compiled
 // programs, shared by the offline calibrator (which simulates the result)
-// and the mpi Adaptive component (which executes it through the plan
-// cache), so a calibrated table always describes exactly what the runtime
-// will run.
+// and every mpi component (which executes it through the plan cache), so
+// a calibrated table always describes exactly what the runtime will run.
 //
 // Two-phase decisions stay on the view (sparse hierarchical
 // construction, no dense matrix ever built); the other knemcoll shapes
@@ -23,8 +29,8 @@ import (
 // selected at sizes where the dense path is affordable.
 //
 // bytes is the full message for bcast/reduce/allreduce and the per-rank
-// block for allgather; align is the reduction element size (allreduce
-// only; ≤1 means byte-wise).
+// block for allgather/gather/scatter/alltoall; align is the reduction
+// element size (reduce/allreduce only; ≤1 means byte-wise).
 func CompileFor(coll Collective, d Decision, v distance.View, root int, bytes, align int64) (*sched.Schedule, error) {
 	n := v.Size()
 	switch coll {
@@ -63,7 +69,7 @@ func CompileFor(coll Collective, d Decision, v distance.View, root int, bytes, a
 			if err != nil {
 				return nil, err
 			}
-			return core.CompileReduce(tree, bytes, d.Chunk)
+			return core.CompileReduce(tree, bytes, reduceChunk(d.Chunk, bytes, tree.Depth(), align))
 		case ComponentTuned:
 			return baseline.CompileReduce(n, root, bytes, baseline.TunedReduceDecision(n, bytes), baseline.SMKnemBTL())
 		case ComponentMPICH:
@@ -82,13 +88,60 @@ func CompileFor(coll Collective, d Decision, v distance.View, root int, bytes, a
 		case ComponentMPICH:
 			return baseline.CompileAllreduce(baseline.TunedAllreduceDecision(n, bytes), n, bytes, align, baseline.NemesisSM())
 		}
+	case CollGather, CollScatter:
+		// Both stage whole subtrees through one compiler, so the
+		// components differ only in the tree: distance-aware or the
+		// rank-based binomial.
+		var tree *core.Tree
+		var err error
+		switch d.Component {
+		case ComponentKNEM:
+			tree, err = knemTree(d, v, root)
+		case ComponentTuned, ComponentMPICH:
+			tree, err = baseline.BinomialTree(n, root)
+		default:
+			return nil, fmt.Errorf("tune: cannot compile %s with decision %+v", coll, d)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if coll == CollGather {
+			return core.CompileGather(tree, bytes)
+		}
+		return core.CompileScatter(tree, bytes)
+	case CollAlltoall:
+		switch d.Component {
+		case ComponentKNEM:
+			if bytes < AlltoallHierarchicalLimit {
+				return core.CompileAlltoallHierarchical(distance.Materialize(v), bytes)
+			}
+			return core.CompileAlltoallDirect(n, bytes)
+		case ComponentTuned:
+			return baseline.CompileAlltoallPairwise(n, bytes, baseline.SMKnemBTL())
+		case ComponentMPICH:
+			return baseline.CompileAlltoallPairwise(n, bytes, baseline.NemesisSM())
+		}
 	}
 	return nil, fmt.Errorf("tune: cannot compile %s with decision %+v", coll, d)
 }
 
-// knemTree builds the broadcast/reduce tree a knemcoll decision names:
-// the sparse two-phase hierarchy, the linear topology (root fans out to
-// every rank directly) when the decision collapses the distance
+// reduceChunk is the pipeline chunk of a knemcoll reduce: the decision's
+// override or the broadcast policy, rounded down to a multiple of the
+// element size so no chunk boundary splits an element (a split element
+// would be combined from two half-elements and come out wrong).
+func reduceChunk(chunk, bytes int64, depth int, align int64) int64 {
+	if chunk <= 0 {
+		chunk = core.BroadcastChunk(bytes, depth)
+	}
+	if align > 1 && chunk > 0 {
+		chunk = max(chunk-chunk%align, align)
+	}
+	return chunk
+}
+
+// knemTree builds the broadcast/reduce/gather tree a knemcoll decision
+// names: the sparse two-phase hierarchy, the linear topology (root fans
+// out to every rank directly) when the decision collapses the distance
 // structure, or the greedy distance-aware reference otherwise.
 func knemTree(d Decision, v distance.View, root int) (*core.Tree, error) {
 	switch {

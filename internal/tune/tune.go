@@ -40,9 +40,26 @@ const (
 	CollAllreduce Collective = "allreduce"
 )
 
+// Collectives CompileFor compiles but the selector does not decide: they
+// have no calibrated tables, so callers pick the component themselves.
+const (
+	CollGather   Collective = "gather"
+	CollScatter  Collective = "scatter"
+	CollAlltoall Collective = "alltoall"
+)
+
 // Collectives returns every decidable collective, in calibration order.
 func Collectives() []Collective {
 	return []Collective{CollBcast, CollAllgather, CollReduce, CollAllreduce}
+}
+
+// Decidable reports whether c is one of Collectives().
+func (c Collective) Decidable() bool {
+	switch c {
+	case CollBcast, CollAllgather, CollReduce, CollAllreduce:
+		return true
+	}
+	return false
 }
 
 // Component names in decisions (matching mpi.Component.String()).
@@ -297,9 +314,7 @@ func (t *Table) Validate() error {
 	}
 	for i := range t.RuleSets {
 		rs := &t.RuleSets[i]
-		switch rs.Coll {
-		case CollBcast, CollAllgather, CollReduce, CollAllreduce:
-		default:
+		if !rs.Coll.Decidable() {
 			return fmt.Errorf("tune: table %s rule set %d: unknown collective %q", t.Name, i, rs.Coll)
 		}
 		if rs.Fingerprint.Procs <= 0 {
